@@ -33,7 +33,7 @@ from repro.analysis.walk import DEFINED, NotAffine, VerifyWalk
 from repro.errors import CompileError, ModelError, NodeRuntimeError
 from repro.machine import MachineParams
 from repro.spmd import ir
-from repro.tune.model import UNKNOWN, _Analysis
+from repro.spmd.abstract import UNKNOWN, LoopAnalysis
 
 _PER_CODE_CAP = 10  # identical-shape findings kept per (code, rank)
 
@@ -143,15 +143,13 @@ def verify_compiled(
         compiled=compiled if compiled is not program else None,
     )
 
-    analysis = _Analysis(program)
+    analysis = LoopAnalysis(program)
     entry_proc = program.entry_proc()
     # UNV001 abstentions grouped by (cause, walk position): identical
     # sites across ranks collapse into one diagnostic with a rank list.
     abstained: dict[tuple[str, tuple[str, ...]], list[int]] = {}
     for rank in range(nprocs):
-        walker = VerifyWalk(
-            program, rank, nprocs, machine, globals_, analysis
-        )
+        walker = VerifyWalk(program, rank, nprocs, globals_, analysis)
         args: list[object] = []
         for pname in entry_proc.params:
             if pname in entry_proc.array_params:

@@ -1,7 +1,7 @@
 """The verifier's per-rank abstract walk.
 
-:class:`VerifyWalk` specializes the tuner's abstract interpreter
-(:class:`repro.tune.model._AbstractRank`) for static checking:
+:class:`VerifyWalk` specializes the abstract tree walker
+(:class:`repro.spmd.abstract.AbstractWalk`) for static checking:
 
 * cost accounting is disabled — the event list holds communication
   events only, each paired 1:1 with an *origin*: the stack of enclosing
@@ -32,7 +32,7 @@ from repro.analysis.footprint import Prog, Tracker
 from repro.errors import ModelError, NodeRuntimeError
 from repro.spmd import ir
 from repro.spmd.pretty import pretty_expr
-from repro.tune.model import UNKNOWN, _AbstractRank, _ARRAY, _Return
+from repro.spmd.abstract import ARRAY, UNKNOWN, AbstractWalk, WalkReturn
 
 #: Entry array parameters are scattered from fully defined inputs, so
 #: every local element is readable and none is writable again; they are
@@ -152,11 +152,11 @@ def affine(base: int, delta: int, axis: int, trips: int):
     return Affine(base, delta, axis, trips)
 
 
-class VerifyWalk(_AbstractRank):
+class VerifyWalk(AbstractWalk):
     """One rank's walk, recording comm origins and I-structure footprints."""
 
-    def __init__(self, program, rank, nprocs, machine, globals_, analysis):
-        super().__init__(program, rank, nprocs, machine, globals_, analysis)
+    def __init__(self, program, rank, nprocs, globals_, analysis):
+        super().__init__(program, rank, nprocs, globals_, analysis)
         self.origins: list[tuple[str, ...]] = []  # 1:1 with self.events
         self.findings: list[Diagnostic] = []
         self.trackers: list[Tracker] = []
@@ -303,7 +303,7 @@ class VerifyWalk(_AbstractRank):
                 self.trackers.append(tracker)
                 frame.arrays[stmt.name] = tracker
             else:  # unanalyzable or per-iteration allocation
-                frame.arrays[stmt.name] = _ARRAY
+                frame.arrays[stmt.name] = ARRAY
             return
         super().exec_stmt(stmt, frame)
 
@@ -350,7 +350,7 @@ class VerifyWalk(_AbstractRank):
         """Run the body once over an Affine loop variable. True on success;
         on failure the frame and footprint records are rolled back.
 
-        A ``return`` from inside the body (``_Return``) also rolls back:
+        A ``return`` from inside the body (``WalkReturn``) also rolls back:
         it would end the loop mid-iteration, which only the concrete
         walk can place correctly."""
         axis = self._next_axis
@@ -361,7 +361,7 @@ class VerifyWalk(_AbstractRank):
         try:
             frame.scalars[stmt.var] = Affine(lo, step, axis, trips)
             self.exec_body(stmt.body, frame)
-        except (NotAffine, _Return):
+        except (NotAffine, WalkReturn):
             del self._txn[mark:]
             frame.scalars.clear()
             frame.scalars.update(saved_scalars)

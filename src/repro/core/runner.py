@@ -18,6 +18,7 @@ from repro.inspector.context import INSPECTOR_GLOBAL, InspectorContext
 from repro.machine import MachineParams, SimResult
 from repro.runtime import IStructure
 from repro.core.common import CompiledProgram
+from repro.spmd.abstract import ARRAY
 from repro.spmd.interp import SPMDResult, run_spmd
 from repro.spmd.layout import gather, scatter
 
@@ -166,11 +167,9 @@ def execute(
         # The replay extractor never looks at array *values*, so hand it
         # an argument maker that skips the (expensive) scatter; the real
         # ``make_args`` scatters lazily if the run falls back.
-        from repro.tune.model import _ARRAY
-
         def extract_args(rank: int) -> list[object]:
             return [
-                _ARRAY
+                ARRAY
                 if param.type.is_array()
                 else scalar_input(param.name)
                 for param in entry_proc.params

@@ -9,18 +9,15 @@ bursts, sends, receives — is a *static skeleton* that can be extracted
 once per (program, ring, bindings) and replayed any number of times
 without executing a single array operation.
 
-The walk here subclasses the tuner's abstract interpreter
-(:class:`repro.tune.model._AbstractRank`) with one crucial change: cost
-is accumulated as **integer (ops, mems) counters**, not as a float.  The
-compiled backend's flush charges ``ops * op_us + mems * mem_us`` — two
-multiplies and one add on integer totals — so carrying the counters
-through extraction and synthesizing the float cost with the *same
-expression* at replay time makes compute costs bit-identical to the
-compiled backend for **any** machine parameters, not just the dyadic
-iPSC/2 defaults (repeated float accumulation, as the cost model does it,
-drifts in the last ulp for non-binary-fraction ``op_us``).  The
-closed-form loop fast path becomes exact integer arithmetic:
-``count * trips`` instead of ``delta_cost * trips``.
+The walk here subclasses the abstract tree walker
+(:class:`repro.spmd.abstract.AbstractWalk`), which accumulates cost as
+**integer (ops, mems) counters**.  The compiled backend's flush charges
+``ops * op_us + mems * mem_us`` — two multiplies and one add on integer
+totals — so carrying the counters through extraction and synthesizing
+the float cost with the *same expression* at replay time makes compute
+costs bit-identical to the compiled backend for **any** machine
+parameters, not just the dyadic iPSC/2 defaults.  The closed-form loop
+fast path is exact integer arithmetic: ``count * trips``.
 
 Carrying counters instead of costs has a second payoff: extraction is
 **machine-independent**.  The skeleton cache is keyed only on (program,
@@ -44,16 +41,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import perf
-from repro.errors import ModelError, NodeRuntimeError, ReproError
+from repro.errors import ReproError
 from repro.spmd import ir
-from repro.tune.model import (
+from repro.spmd.abstract import (
+    ARRAY,
     UNKNOWN,
-    _AbstractRank,
-    _Analysis,
-    _ARRAY,
-    _BodyInfo,
-    _expr_reads,
-    _expr_vars,
+    AbstractWalk,
+    BodyInfo,
+    LoopAnalysis,
+    expr_reads,
+    expr_vars,
 )
 
 try:  # guarded: interp/compiled must keep working without numpy
@@ -123,9 +120,9 @@ class ProgramSkeleton:
         return sum(len(r) for r in self.ranks)
 
 
-def _replicable_body_info(body) -> _BodyInfo:
-    """Event-uniformity scan: like the tuner's cost-uniformity scan
-    (:func:`repro.tune.model._body_info`) but communication does not
+def _replicable_body_info(body) -> BodyInfo:
+    """Event-uniformity scan: like the cost-uniformity scan of
+    :class:`repro.spmd.abstract.LoopAnalysis` but communication does not
     disqualify a body — instead every expression that determines the
     *event stream* (partners, vector bounds, payload values' charge
     structure) is marked sensitive. A loop whose sensitive expressions
@@ -133,11 +130,11 @@ def _replicable_body_info(body) -> _BodyInfo:
     data emits the exact same event subsequence on every iteration past
     the first, so the extractor can walk two iterations and replicate.
     """
-    info = _BodyInfo()
+    info = BodyInfo()
 
     def sensitive(e: ir.NExpr) -> None:
-        info.sensitive_vars |= _expr_vars(e)
-        if _expr_reads(e):
+        info.sensitive_vars |= expr_vars(e)
+        if expr_reads(e):
             info.sensitive_reads = True
 
     def scan_shortcircuit(e: ir.NExpr) -> None:
@@ -152,7 +149,7 @@ def _replicable_body_info(body) -> _BodyInfo:
             for index in target.indices:
                 scan_shortcircuit(index)
 
-    def merge(sub: _BodyInfo) -> None:
+    def merge(sub: BodyInfo) -> None:
         info.impure |= sub.impure
         info.assigned |= sub.assigned
         info.sensitive_vars |= sub.sensitive_vars
@@ -239,49 +236,27 @@ class _ReplicationAnalysis:
         return self._assigned[id(stmt)]
 
 
-class _SkeletonRank(_AbstractRank):
-    """The tuner's abstract walk with integer cost counters.
+class _SkeletonRank(AbstractWalk):
+    """The abstract tree walker with loop shortcuts.
 
-    ``charge_op``/``charge_mem`` accumulate counts; ``flush`` records a
-    ``("c", ops, mems)`` event exactly where the compiled backend would
-    yield its flushed ``Compute`` — before every communication and at
-    the end of the entry procedure — so the event streams align
-    one-to-one. The closed-form loop fast path multiplies *counts* by
-    the trip count (exact integers), keeping extraction O(events), not
-    O(iterations).
+    Its ``flush`` records a ``("c", ops, mems)`` event exactly where the
+    compiled backend would yield its flushed ``Compute`` — before every
+    communication and at the end of the entry procedure — so the event
+    streams align one-to-one. The closed-form loop fast path multiplies
+    *counts* by the trip count (exact integers), and event-invariant
+    communicating loops are walked twice and replicated, keeping
+    extraction O(events), not O(iterations).
     """
 
     def __init__(self, program, rank, nprocs, globals_, analysis, replication):
-        # MachineParams are irrelevant to counting; pass None so any
-        # accidental use of a float cost fails loudly.
-        super().__init__(program, rank, nprocs, None, globals_, analysis)
+        super().__init__(program, rank, nprocs, globals_, analysis)
         self.replication = replication
-        self.pending_ops = 0
-        self.pending_mems = 0
-
-    # -- integer cost plumbing ---------------------------------------------
-    def charge_op(self, count: int = 1) -> None:
-        self.pending_ops += count
-
-    def charge_mem(self, count: int = 1) -> None:
-        self.pending_mems += count
-
-    def flush(self) -> None:
-        if self.pending_ops or self.pending_mems:
-            self.events.append(("c", self.pending_ops, self.pending_mems))
-            self.pending_ops = 0
-            self.pending_mems = 0
 
     def exec_for(self, stmt, frame) -> None:
-        lo = self.eval(stmt.lo, frame)
-        hi = self.eval(stmt.hi, frame)
-        step = self.eval(stmt.step, frame)
-        if lo is UNKNOWN or hi is UNKNOWN or step is UNKNOWN:
-            raise ModelError("loop bound depends on array data")
-        if step <= 0:
-            raise NodeRuntimeError(f"non-positive loop step {step}", self.rank)
-        if hi < lo:
+        bounds = self.loop_bounds(stmt, frame)
+        if bounds is None:
             return
+        lo, hi, step = bounds
         trips = (hi - lo) // step + 1
         if trips > 1 and self.analysis.uniform(stmt):
             # Closed form over integer counters: sample one iteration,
@@ -336,10 +311,7 @@ class _SkeletonRank(_AbstractRank):
                 frame.scalars[name] = UNKNOWN
             frame.scalars[stmt.var] = lo + (trips - 1) * step
             return
-        for v in range(lo, hi + 1, step):
-            self.charge_op()  # increment + bound test
-            frame.scalars[stmt.var] = v
-            self.exec_body(stmt.body, frame)
+        self.iterate(stmt, frame, lo, hi, step)
 
 
 def columnize(events: list[tuple], chan_ids: dict[str, int],
@@ -416,7 +388,7 @@ def _canonical_skeleton_key(key) -> str | None:
         return None
     args_c = repr(
         tuple(
-            tuple("<ARRAY>" if a is _ARRAY else a for a in row)
+            tuple("<ARRAY>" if a is ARRAY else a for a in row)
             for row in args
         )
     )
@@ -458,7 +430,7 @@ def extract_skeletons(program, nprocs: int, make_args,
         raw = list(make_args(rank))
         if len(raw) == len(entry.params):
             raw = [
-                _ARRAY if pname in entry.array_params else value
+                ARRAY if pname in entry.array_params else value
                 for pname, value in zip(entry.params, raw)
             ]
         abstract_args.append(raw)
@@ -485,7 +457,7 @@ def extract_skeletons(program, nprocs: int, make_args,
             perf.miss("replay_skeleton")
 
     with perf.phase("replay_extract"):
-        analyses: dict[int, tuple[_Analysis, _ReplicationAnalysis]] = {}
+        analyses: dict[int, tuple[LoopAnalysis, _ReplicationAnalysis]] = {}
         chan_ids: dict[str, int] = {}
         channels: list[str] = []
         ranks = []
@@ -494,7 +466,7 @@ def extract_skeletons(program, nprocs: int, make_args,
             pair = analyses.get(id(node_program))
             if pair is None:
                 pair = analyses[id(node_program)] = (
-                    _Analysis(node_program),
+                    LoopAnalysis(node_program),
                     _ReplicationAnalysis(node_program),
                 )
             walker = _SkeletonRank(

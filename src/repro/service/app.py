@@ -241,18 +241,23 @@ class ServiceApp:
     def route_artifact(self, query, body, client, artifact_id: str
                        ) -> Response:
         artifact_id = artifact_id.lower()
-        record = self._load_record(artifact_id)
-        if record is not None:
-            perf.incr("service.artifacts_served")
-            return Response(200, record)
+        # Records and jobs under one lock, before the store: a build
+        # moves its id from the jobs to the records in one critical
+        # section, so an accepted id is always in one of the two here.
         with self._lock:
-            job = self._jobs.get(artifact_id)
+            record = self._records.get(artifact_id)
+            job = self._jobs.get(artifact_id) if record is None else None
             if job is not None:
                 return Response(
                     200,
                     {"id": artifact_id, "status": job["status"],
                      "request": job["request"].describe()},
                 )
+        if record is None:
+            record = self._load_record(artifact_id)
+        if record is not None:
+            perf.incr("service.artifacts_served")
+            return Response(200, record)
         return error(404, f"unknown artifact {artifact_id}")
 
     def route_list(self, query, body, client) -> Response:

@@ -993,6 +993,10 @@ def _to_gen(kind_tuple):
     return _pure_gen(_pure_charged(kind_tuple))
 
 
+def _may_return(stmt) -> bool:
+    return any(isinstance(s, ir.NReturn) for s in ir.walk_stmts([stmt]))
+
+
 def _compile_body(stmts, sc):
     if not stmts:
         return ("pure", _noop, 0, 0)
@@ -1002,10 +1006,11 @@ def _compile_body(stmts, sc):
 
     if all(kind == "pure" for kind, _, _, _ in compiled):
         # Fuse runs of statically-costed statements into groups that
-        # charge once. A group must not extend past an NReturn: the
+        # charge once. A group must not extend past a statement that may
+        # return (an NReturn, or a rank-folded guard around one): the
         # statements after it would be pre-charged but never executed.
         if all(c[2] is not None for c in compiled) and not any(
-            isinstance(s, ir.NReturn) for s in stmts[:-1]
+            _may_return(s) for s in stmts[:-1]
         ):
             total_ops = sum(c[2] for c in compiled)
             total_mems = sum(c[3] for c in compiled)
@@ -1049,7 +1054,7 @@ def _fused_steps(stmts, compiled):
             acc_fns.append(fn)
             acc_ops += ops
             acc_mems += mems
-            if isinstance(stmt, ir.NReturn):
+            if _may_return(stmt):
                 close()
         elif kind == "pure":
             close()

@@ -5,10 +5,10 @@ The simulator's processors hold only their local parts (the paper's
 before a run and to reassemble the result afterwards, so results can be
 compared element-for-element with the sequential interpreter.
 
-Both directions are driven by a cached *transfer plan* — one
-``(owner, local offset, local cell, global cell)`` entry per element,
-built once per (distribution, ring size, shape) — so the per-call work
-is flat list copying instead of per-element symbolic evaluation. Any
+Both directions are driven by a cached *transfer plan* — each
+element's owner and local row-major offset, built once per
+(distribution, ring size, shape) — so the per-call work is flat list
+copying instead of per-element symbolic evaluation. Any
 irregularity (offsets out of range, exotic part objects) falls back to
 the per-element path, which reproduces the exact errors.
 """
@@ -47,26 +47,39 @@ def _local_offset(local: tuple[int, ...], local_shape: tuple[int, ...]):
     return off
 
 
+def _local_cell(off: int, local_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The 1-based local cell at a row-major offset (inverse of
+    :func:`_local_offset`)."""
+    cell = []
+    for dim in reversed(local_shape):
+        off, idx = divmod(off, dim)
+        cell.append(idx + 1)
+    return tuple(reversed(cell))
+
+
 @lru_cache(maxsize=256)
 def _plan(dist: Distribution, nprocs: int, shape: tuple[int, ...]):
-    """Transfer plan entries, or None when any mapping is irregular.
+    """Transfer plan ``(owners, offsets)``, or None when any mapping is
+    irregular.
 
-    Entry order matches :class:`IStructure`'s row-major cell layout, so
-    an entry's position in the plan *is* the global offset.
+    Both are indexed by global offset in :class:`IStructure`'s row-major
+    cell layout: the element's owner and its local row-major offset. Two
+    flat tuples of ints keep the plans the cache holds small.
     """
     owner_of, local_of = dist.mapper(nprocs, shape)
     local_shape = dist.alloc_shape(shape, nprocs)
-    entries = []
+    owners = []
+    offsets = []
     for cell in _cells(shape):
         owner = owner_of(cell)
-        local = tuple(local_of(cell))
         if not (isinstance(owner, int) and 0 <= owner < nprocs):
             return None
-        off = _local_offset(local, local_shape)
+        off = _local_offset(tuple(local_of(cell)), local_shape)
         if off is None:
             return None
-        entries.append((owner, off, local, cell))
-    return tuple(entries)
+        owners.append(owner)
+        offsets.append(off)
+    return tuple(owners), tuple(offsets)
 
 
 def scatter(
@@ -84,18 +97,16 @@ def scatter(
     ]
     plan = _plan(dist, nprocs, tuple(shape)) if type(source) is IStructure else None
     if plan is not None:
-        scells = source._cells
         pcells = [p._cells for p in parts]
-        for goff, (owner, loff, local, _cell) in enumerate(plan):
-            v = scells[goff]
+        for v, owner, loff in zip(source._cells, *plan):
             if v is _UNDEFINED:
                 continue
             row = pcells[owner]
             if row[loff] is _UNDEFINED:
                 row[loff] = v
                 parts[owner]._defined_count += 1
-            else:
-                parts[owner].write(*local, v)  # exact second-write error
+            else:  # the exact second-write error
+                parts[owner].write(*_local_cell(loff, local_shape), v)
         return parts
     owner_of, local_of = dist.mapper(nprocs, shape)
     for cell in _cells(shape):
@@ -130,7 +141,7 @@ def gather(
         ocells = out._cells
         pcells = [p._cells for p in parts]
         count = 0
-        for goff, (owner, loff, _local, _cell) in enumerate(plan):
+        for goff, (owner, loff) in enumerate(zip(*plan)):
             v = pcells[owner][loff]
             if v is not _UNDEFINED:
                 ocells[goff] = v

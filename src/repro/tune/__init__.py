@@ -7,7 +7,7 @@ This subsystem automates the choice:
 
 * :mod:`repro.tune.model` predicts per-configuration message counts,
   bytes, and makespan *without simulation* by walking the compiled SPMD
-  IR abstractly (exact counts, near-exact makespan);
+  IR abstractly (all exact: the compiled backend's numbers);
 * :mod:`repro.tune.space` enumerates candidate configurations
   (distribution x strategy x blksize);
 * :mod:`repro.tune.search` ranks the space with the predictor and
@@ -21,7 +21,6 @@ from repro.tune.space import (
     register_strategy,
     retarget_source,
 )
-from repro.tune.search import Candidate, TuneReport, spearman, tune
 from repro.tune.serialize import candidate_payload, report_payload
 
 __all__ = [
@@ -38,3 +37,16 @@ __all__ = [
     "candidate_payload",
     "report_payload",
 ]
+
+_SEARCH = frozenset(("Candidate", "TuneReport", "spearman", "tune"))
+
+
+def __getattr__(name):
+    # The search module imports the verifier, the locality analyzer and
+    # the bench harness; importing it on first use keeps ``repro.tune.space``
+    # (the service's and the benchmarks' configuration vocabulary) cheap.
+    if name in _SEARCH:
+        from repro.tune import search
+
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

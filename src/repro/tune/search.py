@@ -27,6 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import perf
+from repro.analysis import analyze, verify_compiled
 from repro.bench.harness import MeasurePoint
 from repro.core.compiler import compile_program_cached
 from repro.core.runner import execute
@@ -277,9 +278,6 @@ def tune(
                 "auto_maps derives the distribution axis; it cannot be "
                 "combined with an explicit space or dists"
             )
-        # Lazy import: repro.analysis builds on repro.tune.model.
-        from repro.analysis import analyze
-
         result = analyze(source, entry=entry)
         if not result.candidates:
             why = "; ".join(
@@ -317,11 +315,7 @@ def tune(
                 # Prune statically: a configuration the verifier proves
                 # unsafe (deadlock, unbalanced channels, double write)
                 # is infeasible with a precise explanation — no need to
-                # predict, let alone simulate, it. Imported lazily: the
-                # verifier's walker subclasses repro.tune.model, so a
-                # module-level import here would be circular.
-                from repro.analysis import verify_compiled
-
+                # predict, let alone simulate, it.
                 verdict = verify_compiled(
                     compiled,
                     config.nprocs,

@@ -116,6 +116,38 @@ def test_async_build_reaches_ready_via_polling():
     assert got.body["verify"]["verdict"] == "clean"
 
 
+def test_poll_racing_a_finishing_build_never_404s(monkeypatch):
+    """A build that completes while a poll is between its lookups must
+    not turn an accepted id into a 404. The store stub finishes the
+    build inside the poll's store read, which (like a real race) sees
+    the store from just before the build's put."""
+    app = ServiceApp(ServiceConfig(sync=False))
+    monkeypatch.setattr(app, "_ensure_worker", lambda: None)
+    resp = submit(app)
+    assert resp.status == 202
+    artifact_id = resp.body["id"]
+    real = store.get_store()
+
+    class RacingStore:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def fetch(self, cache, key):
+            found = real.fetch(cache, key)
+            if cache == ARTIFACT_CACHE and key == artifact_id:
+                app._build(artifact_id)
+            return found
+
+    monkeypatch.setattr(store, "get_store", lambda: RacingStore())
+    got = app.handle("GET", f"/v1/artifacts/{artifact_id}")
+    assert got.status == 200, got.body
+    assert got.body["status"] in ("queued", "building", "ready")
+    app._build(artifact_id)  # a no-op if the poll already raced it
+    final = app.handle("GET", f"/v1/artifacts/{artifact_id}")
+    assert final.status == 200
+    assert final.body["status"] == "ready"
+
+
 def test_uncompilable_program_yields_failed_artifact(app):
     resp = submit(app, source="map A by wrapped_cols;\nthis is not mini-Id")
     assert resp.status == 200

@@ -19,6 +19,7 @@ from repro.spmd import (
     NAssign,
     NBin,
     NConst,
+    NIf,
     NMyNode,
     NodeProc,
     NodeProgram,
@@ -42,6 +43,30 @@ def _tiny_program():
         procs={"main": NodeProc("main", (), body=tuple(body))},
         entry="main",
     )
+
+
+class TestReturnCharging:
+    def test_nothing_after_a_rank_folded_return_is_charged(self):
+        """``if (mynode() == 0) return;`` folds per rank; the statements
+        after it must not be charged to the rank that returns."""
+        body = (
+            NIf(NBin("==", NMyNode(), NConst(0)), (NReturn(),)),
+            NAssign(VarLV("y"), NBin("*", NConst(3), NVar("N"))),
+            NAssign(VarLV("z"), NBin("+", NVar("y"), NConst(1))),
+        )
+        program = NodeProgram(
+            name="early", procs={"main": NodeProc("main", (), body=body)},
+            entry="main",
+        )
+        finish = {
+            backend: run_spmd(
+                program, 2, lambda rank: [], globals_={"N": 4},
+                backend=backend,
+            ).sim.finish_times_us
+            for backend in ("interp", "compiled")
+        }
+        assert finish["compiled"] == finish["interp"]
+        assert finish["interp"][0] < finish["interp"][1]
 
 
 class TestBackendSelection:
